@@ -35,6 +35,7 @@ import os
 import threading
 import zipfile
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +99,19 @@ def config_hash(config):
     across processes and Python versions (unlike ``hash()``, which is
     salted per run).  Registries and caches key fitted models on
     ``(dataset, config_hash)``.
+
+    Computed once per distinct config and memoized under
+    ``repr(config)`` as well as the config: configs that compare equal
+    can still serialise differently (``resolution=9`` vs ``9.0``,
+    ``tolerance_m=0.0`` vs ``-0.0``), and their reprs differ exactly
+    where their JSON payloads do.
     """
+    return _config_digest(repr(config), config)
+
+
+@lru_cache(maxsize=256)
+def _config_digest(config_repr, config):
+    # config_repr only keys the cache (see config_hash).
     payload = json.dumps(asdict(config), sort_keys=True)
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:12]
 

@@ -6,6 +6,9 @@ viewer.
 """
 
 from repro.io.geojson import (
+    encode_coordinates,
+    encode_feature_collection,
+    encode_linestring_feature,
     feature_collection,
     linestring_feature,
     point_feature,
@@ -13,6 +16,9 @@ from repro.io.geojson import (
 )
 
 __all__ = [
+    "encode_coordinates",
+    "encode_feature_collection",
+    "encode_linestring_feature",
     "feature_collection",
     "linestring_feature",
     "point_feature",

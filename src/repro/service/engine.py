@@ -75,10 +75,13 @@ simplification and resampling dominate the per-request cost of a warm
 hit, yet their output depends only on the route and the *exact* raw
 endpoints.  Both cache tiers' renders are memoized under ``(route key,
 start, end)`` (same capacity as the path cache), together with the
-rendered polyline's metric length, so an exactly-repeated query costs
-two LRU probes and no geometry at all.  Memoized results share their
-coordinate arrays across responses; callers must treat them as
-read-only (the transport only serialises them).
+rendered polyline's metric length and its GeoJSON coordinate list
+already encoded as JSON text (:func:`repro.io.encode_coordinates`), so
+an exactly-repeated query costs two LRU probes, no geometry and no
+float encoding at all -- the transport splices the memoized text into
+the response.  Memoized results share their coordinate arrays and text
+across responses; callers must treat them as read-only (the transport
+only serialises them).
 
 Every result carries :class:`repro.service.schema.Provenance`: which
 model answered, how it was obtained (cache hit / disk load / fit), the
@@ -101,6 +104,7 @@ from dataclasses import replace
 from repro.core import HabitConfig
 from repro.geo.budget import compress_to_budget
 from repro.geo.proj import latlng_to_xy_m, path_length_m
+from repro.io import encode_coordinates
 from repro.obs import METRICS, diff_snapshots
 from repro.service.dispatch import BatchDispatcher
 from repro.service.schema import ImputeResult, Provenance
@@ -199,7 +203,8 @@ class BatchImputationEngine:
         #: dst) -> SearchResult | None; 0 disables route caching.
         self.path_cache = _PathCache(path_cache_size) if path_cache_size else None
         #: LRU over (route cache key, raw start, raw end) ->
-        #: (ImputedPath, path_length_m): the rendered-path memo.
+        #: (ImputedPath, path_length_m, coordinates JSON text): the
+        #: rendered-path memo.
         self.render_cache = _PathCache(path_cache_size) if path_cache_size else None
         self._path_cache_size = path_cache_size
         self.batch_window_ms = float(batch_window_ms)
@@ -393,6 +398,7 @@ class BatchImputationEngine:
         """
         paths = [None] * len(requests)
         lengths = [None] * len(requests)
+        coordinates = [None] * len(requests)
         tiers = [None] * len(requests)
         elapsed = [0.0] * len(requests)
         #: cache key -> [plain imputer, (src, dst), first result, rider idxs]
@@ -440,7 +446,7 @@ class BatchImputationEngine:
                             tiers[i] = "miss"
                             groups.setdefault(id(plain), (plain, []))[1].append(key)
                         else:
-                            paths[i], lengths[i] = self._render(
+                            paths[i], lengths[i], coordinates[i] = self._render(
                                 plain, key, request, result
                             )
                             tiers[i] = "hit"
@@ -488,13 +494,16 @@ class BatchImputationEngine:
             for i in riders:
                 started = time.perf_counter()
                 request = requests[i]
-                paths[i], lengths[i] = self._render(plain, key, request, result)
+                paths[i], lengths[i], coordinates[i] = self._render(
+                    plain, key, request, result
+                )
                 elapsed[i] += time.perf_counter() - started
         out = []
         for i, request in enumerate(requests):
             imputer, model_id, source = models[(request.dataset.upper(), request.typed)]
             path = paths[i]
             length = lengths[i]
+            encoded = coordinates[i]
             points_in = points_out = 0
             max_sed = 0.0
             budget = request.max_points
@@ -512,6 +521,7 @@ class BatchImputationEngine:
                     lngs=path.lngs[squeezed.indices],
                 )
                 length = float(path_length_m(path.lats, path.lngs))
+                encoded = None  # the memo's text is the uncompressed path
                 spent = time.perf_counter() - started
                 elapsed[i] += spent
                 _COMPRESS_SECONDS.observe(spent)
@@ -545,6 +555,7 @@ class BatchImputationEngine:
                     lats=path.lats,
                     lngs=path.lngs,
                     provenance=provenance,
+                    coordinates_json=encoded,
                 )
             )
         return out
@@ -552,7 +563,9 @@ class BatchImputationEngine:
     def _render(self, plain, key, request, result):
         """Render *result* through the rendered-path memo.
 
-        Returns ``(ImputedPath, metric length)``.  The memo key pairs
+        Returns ``(ImputedPath, metric length, coordinates JSON text)``;
+        the text is ``None`` when the render bypassed the memo (the
+        transport then encodes at response time).  The memo key pairs
         the route's full cache key with the *exact* raw endpoints --
         simplification and resampling both see the pinned endpoints, so
         only an exactly-repeated query may reuse the geometry (a nudged
@@ -563,13 +576,17 @@ class BatchImputationEngine:
         cache = self.render_cache
         if cache is None or result is None:
             path = plain.render_path(request.start, request.end, result)
-            return path, float(path_length_m(path.lats, path.lngs))
+            return path, float(path_length_m(path.lats, path.lngs)), None
         memo_key = (key, request.start, request.end)
         entry = cache.get(memo_key)
         if entry is not _MISSING:
             return entry
         path = plain.render_path(request.start, request.end, result)
-        entry = (path, float(path_length_m(path.lats, path.lngs)))
+        entry = (
+            path,
+            float(path_length_m(path.lats, path.lngs)),
+            encode_coordinates(path.lats, path.lngs),
+        )
         cache.put(memo_key, entry)
         return entry
 

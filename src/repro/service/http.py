@@ -54,7 +54,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.io import feature_collection
+from repro.io import encode_feature_collection, feature_collection
 from repro.obs import METRICS
 from repro.service.engine import BatchImputationEngine
 from repro.service.registry import ModelNotFound
@@ -76,6 +76,12 @@ _HTTP_REQUEST_SECONDS = METRICS.histogram(
 #: Routes that get their own metric label; everything else is "other"
 #: so arbitrary paths cannot grow the label space.
 _KNOWN_ROUTES = ("/healthz", "/models", "/metrics", "/impute")
+
+#: Largest ``/impute`` body accepted, in bytes; a larger
+#: ``Content-Length`` is answered 413 before any of the body is read.
+#: A 32-gap batch is a few KB, so this leaves room for batches of
+#: thousands of gaps.
+MAX_BODY_BYTES = 1 << 20
 
 
 def make_server(
@@ -152,6 +158,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     metrics_enabled = True
     access_log = None  # file-like; None disables the JSON access log
     access_log_lock = None
+    _unread_body = False  # set when a request is refused unread; see _send_body
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
 
@@ -180,6 +187,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self._unread_body:
+            # The request body was never read, so the stream is out of
+            # step: answer, then close the connection.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -251,8 +262,19 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if self.path != "/impute":
             self._send_json(404, {"error": f"unknown path {self.path!r}"})
             return
+        raw_length = self.headers.get("Content-Length", "0").strip()
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            self._unread_body = True
+            self._send_json(400, {"error": "invalid Content-Length"})
+            return
+        length = int(raw_length)
+        if length > MAX_BODY_BYTES:
+            self._unread_body = True
+            self._send_json(
+                413, {"error": f"body exceeds the {MAX_BODY_BYTES}-byte limit"}
+            )
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
             payload = json.loads(self.rfile.read(length) or b"")
         except (ValueError, TypeError):
             self._send_json(400, {"error": "body is not valid JSON"})
@@ -275,20 +297,39 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except Exception as exc:  # pragma: no cover - defensive
             self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
             return
-        self._send_json(
-            200,
-            {
-                "count": len(results),
-                "elapsed_ms": elapsed_ms,
-                "results": [
-                    {
-                        "request_id": r.request.request_id,
-                        "dataset": r.request.dataset,
-                        "num_points": r.num_points,
-                        "provenance": r.provenance.to_dict(),
-                    }
-                    for r in results
-                ],
-                "geojson": feature_collection(r.to_feature() for r in results),
-            },
-        )
+        self._send_body(200, impute_body(results, elapsed_ms), "application/json")
+
+
+def impute_body(results, elapsed_ms):
+    """The ``/impute`` 200 response body, as bytes.
+
+    Byte-identical to ``json.dumps`` of the dict form ``{"count",
+    "elapsed_ms", "results": [{"request_id", "dataset", "num_points",
+    "provenance"}], "geojson": FeatureCollection}``, but cheaper: each
+    result's provenance dict is built once and serves both its
+    ``results`` entry and its feature's ``properties``, and each
+    feature's coordinate list is spliced in as JSON text (the engine's
+    memoized text when it has one) rather than rebuilt as floats and
+    encoded again.
+    """
+    provenances = [r.provenance.to_dict() for r in results]
+    head = json.dumps(
+        {
+            "count": len(results),
+            "elapsed_ms": elapsed_ms,
+            "results": [
+                {
+                    "request_id": r.request.request_id,
+                    "dataset": r.request.dataset,
+                    "num_points": r.num_points,
+                    "provenance": provenance,
+                }
+                for r, provenance in zip(results, provenances)
+            ],
+        }
+    )
+    collection = feature_collection(
+        r.feature_json(provenance) for r, provenance in zip(results, provenances)
+    )
+    # head ends with the closing brace of the outer object.
+    return f'{head[:-1]}, "geojson": {encode_feature_collection(collection)}}}'.encode("utf-8")

@@ -13,13 +13,13 @@ unknown fields are rejected rather than silently ignored.  Parsing raises
 naming the offending field.
 """
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from math import isfinite
 
 import numpy as np
 
 from repro.core import HabitConfig
-from repro.io import linestring_feature
+from repro.io import encode_coordinates, encode_linestring_feature, linestring_feature
 
 __all__ = [
     "GapRequest",
@@ -114,32 +114,60 @@ class Provenance:
     max_sed_m: float = 0.0
 
     def to_dict(self):
-        """Plain-dict view for JSON responses."""
-        return asdict(self)
+        """Plain-dict view for JSON responses.
+
+        Equal to ``dataclasses.asdict(self)`` -- same keys, same order --
+        but built directly: every field is a scalar, so the recursive
+        deep copy inside ``asdict`` would only cost time.
+        """
+        return {name: getattr(self, name) for name in _PROVENANCE_FIELDS}
+
+
+_PROVENANCE_FIELDS = tuple(f.name for f in fields(Provenance))
 
 
 @dataclass(frozen=True)
 class ImputeResult:
-    """An imputed path plus its provenance, tied back to the request."""
+    """An imputed path plus its provenance, tied back to the request.
+
+    ``coordinates_json`` optionally carries the path's GeoJSON
+    coordinate list already encoded (:func:`repro.io.encode_coordinates`
+    of ``lats``/``lngs``); the engine fills it from its rendered-path
+    memo so a repeated response splices the text instead of encoding
+    the floats again.  ``None`` means "encode on demand".
+    """
 
     request: GapRequest
     lats: np.ndarray = field(repr=False)
     lngs: np.ndarray = field(repr=False)
     provenance: Provenance
+    coordinates_json: str | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_points(self):
         """Number of path positions."""
         return len(self.lats)
 
-    def to_feature(self):
-        """GeoJSON LineString feature with provenance in ``properties``."""
-        properties = {
+    def _properties(self, provenance=None):
+        return {
             "request_id": self.request.request_id,
             "dataset": self.request.dataset,
-            **self.provenance.to_dict(),
+            **(self.provenance.to_dict() if provenance is None else provenance),
         }
-        return linestring_feature(self.lats, self.lngs, properties)
+
+    def to_feature(self):
+        """GeoJSON LineString feature with provenance in ``properties``."""
+        return linestring_feature(self.lats, self.lngs, self._properties())
+
+    def feature_json(self, provenance=None):
+        """:meth:`to_feature` as JSON text, byte-identical to
+        ``json.dumps(self.to_feature())``, splicing ``coordinates_json``
+        when the engine supplied it.  *provenance* reuses an
+        already-built :meth:`Provenance.to_dict`."""
+        coordinates = self.coordinates_json
+        if coordinates is None:
+            coordinates = encode_coordinates(self.lats, self.lngs)
+        return encode_linestring_feature(coordinates, self._properties(provenance))
 
 
 #: HabitConfig field name -> default value, used to coerce JSON overrides.

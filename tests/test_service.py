@@ -1,12 +1,16 @@
 """Service layer: registry LRU, batch engine provenance, HTTP transport."""
 
+import hashlib
 import json
+import re
+import socket
 import subprocess
 import sys
 import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +26,8 @@ from repro.service import (
     make_server,
     parse_impute_payload,
 )
+from repro.service.http import MAX_BODY_BYTES
+from repro.service.schema import build_config
 
 
 @pytest.fixture()
@@ -51,6 +57,68 @@ def test_model_id_is_stable_and_config_sensitive():
     assert config_hash(a) == config_hash(HabitConfig(resolution=9))
     assert config_hash(a) != config_hash(HabitConfig(resolution=8))
     assert ModelRegistry.model_id("kiel", a) == f"KIEL_{config_hash(a)}"
+
+
+def _uncached_config_hash(config):
+    payload = json.dumps(asdict(config), sort_keys=True)
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:12]
+
+
+#: One non-default value per HabitConfig field.
+_CONFIG_OVERRIDES = {
+    "resolution": 7,
+    "tolerance_m": 25.0,
+    "projection": "median",
+    "edge_weight": "inverse_frequency",
+    "approx_distinct": False,
+    "snap_max_ring": 3,
+    "snap_limit_cells": 50,
+    "resample_m": 100.0,
+    "search": "alt",
+    "num_landmarks": 4,
+}
+
+
+def test_config_hash_memo_matches_uncached_digest():
+    assert set(_CONFIG_OVERRIDES) == {f.name for f in fields(HabitConfig)}
+    for name, value in _CONFIG_OVERRIDES.items():
+        config = HabitConfig(**{name: value})
+        assert config_hash(config) == _uncached_config_hash(config), name
+        assert config_hash(config) == config_hash(config)  # memo hit
+        # Equal configs built separately share the digest.
+        assert config_hash(HabitConfig(**{name: value})) == config_hash(config)
+        assert config_hash(build_config({name: value})) == config_hash(config)
+    # Configs that compare equal but serialise differently keep their own
+    # digests, whichever of the pair reaches the memo first.
+    for name, a, b in (
+        ("resolution", 9, 9.0),
+        ("tolerance_m", 100.0, 100),
+        ("tolerance_m", 0.0, -0.0),
+        ("approx_distinct", True, 1),
+    ):
+        first, second = HabitConfig(**{name: a}), HabitConfig(**{name: b})
+        assert first == second
+        assert config_hash(first) == _uncached_config_hash(first)
+        assert config_hash(second) == _uncached_config_hash(second)
+        assert config_hash(first) != config_hash(second)
+
+
+def test_config_hash_memo_stays_correct_past_its_bound():
+    configs = [HabitConfig(tolerance_m=float(i)) for i in range(600)]
+    for config in configs + configs[::-1]:
+        assert config_hash(config) == _uncached_config_hash(config)
+
+
+def test_model_ids_and_file_names_are_pinned(tmp_path):
+    # Published registries name their files by these ids; a changed
+    # digest would orphan every model already on disk.
+    config = HabitConfig()
+    assert config_hash(config) == "4f13efd807a1"
+    assert config_hash(HabitConfig(resolution=10)) == "9b763d460853"
+    assert ModelRegistry.model_id("kiel", config) == "KIEL_4f13efd807a1"
+    assert ModelRegistry.model_id("kiel", config, typed=True) == "KIEL_TYPED_4f13efd807a1"
+    path = ModelRegistry(tmp_path / "reg").path_for("KIEL", config)
+    assert path.name == "KIEL_4f13efd807a1.npz"
 
 
 def test_registry_resolution_tiers(registry, service_model):
@@ -945,3 +1013,152 @@ def test_http_invalid_max_points_is_400(server):
             )
         assert err.value.code == 400
         assert "max_points" in err.value.read().decode()
+
+
+# -- /impute encoding -----------------------------------------------------
+
+
+def _reference_impute_body(results, elapsed_ms):
+    """The ``/impute`` body in its dict form, encoded by ``json.dumps``:
+    the transport's encoding before memoized coordinate text was
+    spliced in."""
+
+    def coords(r):
+        return [[float(lng), float(lat)] for lat, lng in zip(r.lats, r.lngs)]
+
+    def ident(r):
+        return {"request_id": r.request.request_id, "dataset": r.request.dataset}
+
+    payload = {
+        "count": len(results),
+        "elapsed_ms": elapsed_ms,
+        "results": [
+            {**ident(r), "num_points": len(r.lats), "provenance": asdict(r.provenance)}
+            for r in results
+        ],
+        "geojson": {
+            "type": "FeatureCollection",
+            "features": [
+                {
+                    "type": "Feature",
+                    "geometry": {"type": "LineString", "coordinates": coords(r)},
+                    "properties": {**ident(r), **asdict(r.provenance)},
+                }
+                for r in results
+            ],
+        },
+    }
+    return json.dumps(payload).encode("utf-8")
+
+
+_ELAPSED = re.compile(rb'"elapsed_ms": [^,}]+')
+
+
+def _mask_elapsed(body):
+    return _ELAPSED.sub(b'"elapsed_ms": 0', body)
+
+
+def test_http_impute_body_matches_dict_encoding(registry, service_model, tiny_kiel):
+    registry.publish(
+        "KIEL",
+        TypedHabitImputer(service_model.config, min_group_rows=100).fit_from_trips(
+            tiny_kiel.train
+        ),
+    )
+    server = make_server(registry, port=0, max_workers=4)
+    captured = []
+    run = server.engine.run
+
+    def capture(requests, config=None):
+        results = run(requests, config)
+        captured.append(results)
+        return results
+
+    server.engine.run = capture
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    base = "http://%s:%d" % server.server_address[:2]
+    gaps = tiny_kiel.gaps(3600.0) + tiny_kiel.gaps(1800.0)
+
+    def gap(i, **extra):
+        g = gaps[i % len(gaps)]
+        return {
+            "dataset": "KIEL",
+            "start": list(g.start),
+            "end": list(g.end),
+            "id": f"g{i}",
+            **extra,
+        }
+
+    offshore = {"dataset": "KIEL", "start": [0.0, -30.0], "end": [1.0, -31.0], "id": "o"}
+    n = len(gaps)
+    corpus = [{"requests": [gap(0), gap(1), gap(0), gap(1), gap(0)]}]  # coalesced
+    corpus += [gap(i) for i in range(n)]  # singles
+    corpus += [gap(i) for i in range(n)]  # exact repeats: memo hits
+    corpus += [
+        {"requests": [gap(i, max_points=3) for i in range(n)]},  # below length
+        {"requests": [gap(i, max_points=10_000) for i in range(n)]},  # above
+        offshore,  # out-of-coverage straight line
+        {**offshore, "max_points": 2},
+        gap(1, typed=True, vessel_type="cargo"),
+        gap(1, typed=True, vessel_type="cargo"),
+        {**gap(2), "id": 'quote " and \u2603 ☃'},
+    ]
+    try:
+        for payload in corpus:
+            request = urllib.request.Request(
+                base + "/impute", data=json.dumps(payload).encode(), method="POST"
+            )
+            with urllib.request.urlopen(request, timeout=10) as response:
+                body = response.read()
+            expected = _reference_impute_body(captured[-1], 0.0)
+            assert _mask_elapsed(body) == _mask_elapsed(expected), payload
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert len(captured) == len(corpus)
+    # Every tier the encoder treats differently was exercised: memoized
+    # text spliced in, and text encoded at response time.
+    tiers = {r.provenance.path_cache for batch in captured for r in batch}
+    assert {"miss", "hit", "coalesced", "bypass"} <= tiers
+    memoized = [r for batch in captured for r in batch if r.coordinates_json is not None]
+    on_demand = [r for batch in captured for r in batch if r.coordinates_json is None]
+    assert any(r.provenance.path_cache == "hit" for r in memoized)
+    assert any(r.provenance.points_out for r in on_demand)  # budget-compressed
+    assert any(r.provenance.fallback for r in on_demand)
+
+
+def _raw_post(base, content_length):
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=3) as sock:
+        sock.sendall(
+            b"POST /impute HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + content_length + b"\r\n\r\n"
+        )
+        # The server must answer and close without waiting for a body;
+        # recv raising a timeout here means the handler thread is parked.
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    return head.split(b"\r\n"), json.loads(body)
+
+
+@pytest.mark.parametrize(
+    "content_length, status, message",
+    [
+        (b"-1", 400, "invalid Content-Length"),
+        (b"abc", 400, "invalid Content-Length"),
+        (b"99999999999999", 413, "limit"),
+        (str(MAX_BODY_BYTES + 1).encode(), 413, "limit"),
+    ],
+)
+def test_http_bad_content_length(server, content_length, status, message):
+    lines, body = _raw_post(server, content_length)
+    assert lines[0].split(b" ")[1] == str(status).encode()
+    assert b"Connection: close" in lines
+    assert message in body["error"]
+    # The handler thread is free again: the server still answers.
+    assert _get(server, "/healthz")[0] == 200
