@@ -23,7 +23,9 @@ implement the critical-point compression ablation, and
 
 from repro.core.annotate import annotate_events, clean_messages, compress_trajectory
 from repro.core.graph import (
+    EDGE_WEIGHTS,
     GOAL_DIRECTED_METHODS,
+    PROJECTIONS,
     SEARCH_METHODS,
     CellGraph,
     SearchResult,
@@ -46,11 +48,13 @@ from repro.core.typed import TypedHabitImputer
 
 __all__ = [
     "CellGraph",
+    "EDGE_WEIGHTS",
     "GOAL_DIRECTED_METHODS",
     "HabitConfig",
     "HabitImputer",
     "ImputedPath",
     "ModelFormatError",
+    "PROJECTIONS",
     "SEARCH_METHODS",
     "SearchResult",
     "StatisticsState",

@@ -18,11 +18,10 @@ into serving provenance.
 
 A query snaps both gap endpoints to graph nodes (memoized per graph),
 routes over the CSR search engine (``HabitConfig.search`` picks the
-variant: Dijkstra, A*, bidirectional A*, ALT/landmark A*, or the default
-contraction-hierarchy search -- all provably equal-cost), projects the
-cell path to positions (cell centres
-or per-cell medians), simplifies with RDP at ``tolerance_m``, and pins
-the exact endpoints.  The three stages are public --
+variant: Dijkstra, A*, or the default contraction-hierarchy search --
+all provably equal-cost), projects the cell path to positions (cell
+centres or per-cell medians), simplifies with RDP at ``tolerance_m``,
+and pins the exact endpoints.  The three stages are public --
 :meth:`HabitImputer.snap_endpoints`, :meth:`HabitImputer.route`,
 :meth:`HabitImputer.render_path` -- so the serving layer can cache
 search results keyed by snapped endpoints.  When no route exists the
@@ -58,19 +57,15 @@ _FIT_SECONDS = METRICS.histogram(
 __all__ = ["HabitConfig", "HabitImputer", "ModelFormatError", "config_hash"]
 
 #: On-disk model format tag and version.  Bumped whenever the ``.npz``
-#: layout changes; version-1 files predate the tag and are rejected with
-#: a clear error instead of being mis-read.  Version 3 added the model
-#: revision and the optional mergeable fit state that powers
-#: :meth:`HabitImputer.update` after a load.  Version 4 added the search
-#: config fields and the optional precomputed ALT landmark tables.
-#: Version 5 added the optional contraction-hierarchy arrays (node
-#: order + upward/downward shortcut CSRs with middle-node
-#: back-pointers).  Version-3/-4 files still load; whatever
-#: preprocessing their payload lacks (landmarks, hierarchy) is rebuilt
-#: on demand at the first query that needs it.
+#: layout changes; this build reads exactly the current version, and any
+#: other file (untagged, older, newer) is rejected with a clear error
+#: instead of being mis-read -- such models are refit.  A version-5 file
+#: holds the config, the model revision, the graph arrays, the optional
+#: mergeable fit state that powers :meth:`HabitImputer.update` after a
+#: load, and the optional contraction-hierarchy arrays (node order +
+#: upward/downward shortcut CSRs with middle-node back-pointers).
 MODEL_FORMAT = "habit-npz"
 MODEL_FORMAT_VERSION = 5
-MIN_MODEL_FORMAT_VERSION = 3
 
 #: Prefix under which a model's mergeable fit state is stored in the npz.
 _STATE_PREFIX = "state_"
@@ -89,15 +84,37 @@ _GRAPH_KEYS = (
 
 
 class ModelFormatError(ValueError):
-    """A model file is not a readable, current-version ``.npz`` artefact."""
+    """A model file is not a readable, current-version ``.npz`` artefact.
+
+    ``path`` is the offending file and ``reason`` says what is wrong with
+    it, without the path (the serving layer shows it to clients).
+    """
+
+    def __init__(self, path, reason):
+        super().__init__(path, reason)
+        self.path = path
+        self.reason = reason
+
+    def __str__(self):
+        return f"{self.path}: {self.reason}"
+
+
+#: Config fields that no longer exist, with the value every config now
+#: implicitly carries.  ``num_landmarks`` sized the retired ALT search;
+#: it stays in the hashed payload so model ids (and with them every
+#: published registry file name) keep their digests, and in the 10th slot
+#: of the saved config array so files stay readable by the previous
+#: release.
+_RETIRED_CONFIG_FIELDS = {"num_landmarks": 8}
 
 
 def config_hash(config):
     """Stable 12-hex digest of a :class:`HabitConfig`.
 
-    Hashes the JSON-serialised field dict, so the digest is identical
-    across processes and Python versions (unlike ``hash()``, which is
-    salted per run).  Registries and caches key fitted models on
+    Hashes the JSON-serialised field dict (plus
+    :data:`_RETIRED_CONFIG_FIELDS`), so the digest is identical across
+    processes and Python versions (unlike ``hash()``, which is salted per
+    run).  Registries and caches key fitted models on
     ``(dataset, config_hash)``.
 
     Computed once per distinct config and memoized under
@@ -112,7 +129,7 @@ def config_hash(config):
 @lru_cache(maxsize=256)
 def _config_digest(config_repr, config):
     # config_repr only keys the cache (see config_hash).
-    payload = json.dumps(asdict(config), sort_keys=True)
+    payload = json.dumps({**asdict(config), **_RETIRED_CONFIG_FIELDS}, sort_keys=True)
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:12]
 
 
@@ -126,39 +143,32 @@ def _format_array(kind):
 def _check_format(data, kind, path):
     """Validate the format tag of an opened ``np.load`` mapping.
 
-    Returns the (integer) format version so loaders can branch on it;
-    versions ``MIN_MODEL_FORMAT_VERSION..MODEL_FORMAT_VERSION`` are
-    readable, anything else fails loudly.
+    Only :data:`MODEL_FORMAT_VERSION` is readable; anything else fails
+    loudly with a :class:`ModelFormatError` naming the version found.
     """
     if "format" not in data.files:
         raise ModelFormatError(
-            f"{path}: no format tag; not a {kind!r} model "
-            "(or written by a pre-versioning release)"
+            path,
+            f"no format tag; not a {kind!r} model (or written by a "
+            "pre-versioning release)",
         )
     tag = data["format"]
     name, version = str(tag[0]), str(tag[1])
     if name != kind:
-        raise ModelFormatError(f"{path}: format {name!r}, expected {kind!r}")
-    try:
-        parsed = int(version)
-    except ValueError:
-        parsed = -1
-    if not MIN_MODEL_FORMAT_VERSION <= parsed <= MODEL_FORMAT_VERSION:
+        raise ModelFormatError(path, f"format {name!r}, expected {kind!r}")
+    if version != str(MODEL_FORMAT_VERSION):
         raise ModelFormatError(
-            f"{path}: format version {version}, this build reads versions "
-            f"{MIN_MODEL_FORMAT_VERSION}..{MODEL_FORMAT_VERSION}"
+            path,
+            f"format version {version}, this build reads version "
+            f"{MODEL_FORMAT_VERSION}",
         )
-    return parsed
 
 
-#: Optional per-graph ALT landmark arrays (format v4+); absent in v3
-#: files and in models whose graphs never computed landmarks.
-_LANDMARK_KEYS = ("landmarks", "landmark_from", "landmark_to")
-
-#: Optional per-graph contraction-hierarchy arrays (format v5+), in the
-#: positional order of :meth:`repro.core.graph.CellGraph.set_ch`; absent
-#: in pre-v5 files and in models whose graphs never built the hierarchy
-#: (it is then rebuilt on demand at the first ``"ch"`` query).
+#: Optional per-graph contraction-hierarchy arrays, in the positional
+#: order of :meth:`repro.core.graph.CellGraph.set_ch`; absent in models
+#: whose graphs never built the hierarchy (fitted with ``search="astar"``
+#: or ``"dijkstra"``), which rebuild it on demand at the first ``"ch"``
+#: query.
 _CH_KEYS = (
     "ch_rank",
     "ch_up_indptr",
@@ -174,10 +184,6 @@ _CH_KEYS = (
 
 def _graph_payload(graph, prefix=""):
     payload = {prefix + key: getattr(graph, key) for key in _GRAPH_KEYS}
-    if graph.has_landmarks:
-        payload.update(
-            {prefix + key: getattr(graph, key) for key in _LANDMARK_KEYS}
-        )
     if graph.has_ch:
         payload.update({prefix + key: getattr(graph, key) for key in _CH_KEYS})
     return payload
@@ -186,10 +192,8 @@ def _graph_payload(graph, prefix=""):
 def _graph_from_npz(data, path, prefix=""):
     missing = [key for key in _GRAPH_KEYS if prefix + key not in data.files]
     if missing:
-        raise ModelFormatError(f"{path}: missing graph arrays {missing}")
+        raise ModelFormatError(path, f"missing graph arrays {missing}")
     graph = CellGraph(*(data[prefix + key] for key in _GRAPH_KEYS))
-    if all(prefix + key in data.files for key in _LANDMARK_KEYS):
-        graph.set_landmarks(*(data[prefix + key] for key in _LANDMARK_KEYS))
     if all(prefix + key in data.files for key in _CH_KEYS):
         graph.set_ch(*(data[prefix + key] for key in _CH_KEYS))
     return graph
@@ -207,13 +211,14 @@ def _config_payload(config):
             str(config.snap_limit_cells),
             str(config.resample_m),
             config.search,
-            str(config.num_landmarks),
+            *(str(value) for value in _RETIRED_CONFIG_FIELDS.values()),
         ]
     )
 
 
 def _config_from_npz(raw):
-    kwargs = dict(
+    # raw[9] holds a retired field (see _RETIRED_CONFIG_FIELDS).
+    return HabitConfig(
         resolution=int(raw[0]),
         tolerance_m=float(raw[1]),
         projection=str(raw[2]),
@@ -222,11 +227,8 @@ def _config_from_npz(raw):
         snap_max_ring=int(raw[5]),
         snap_limit_cells=int(raw[6]),
         resample_m=float(raw[7]),
+        search=str(raw[8]),
     )
-    if len(raw) > 8:  # format v4+; v3 configs fall back to field defaults
-        kwargs["search"] = str(raw[8])
-        kwargs["num_landmarks"] = int(raw[9])
-    return HabitConfig(**kwargs)
 
 
 def _open_npz(path):
@@ -234,12 +236,13 @@ def _open_npz(path):
 
     Non-zip bytes surface as ``ValueError`` (numpy's pickle fallback),
     truncated/corrupt zips as ``zipfile.BadZipFile``; both mean the same
-    thing to callers.  Missing files keep raising ``OSError``.
+    thing to callers (numpy's own message stays on the exception chain).
+    Missing files keep raising ``OSError``.
     """
     try:
         return np.load(path)
     except (ValueError, zipfile.BadZipFile) as exc:
-        raise ModelFormatError(f"{path}: not an .npz model archive ({exc})") from exc
+        raise ModelFormatError(path, "not an .npz model archive") from exc
 
 
 def _normalize_npz_path(path):
@@ -254,7 +257,7 @@ def _atomic_savez(path, payload):
     """``np.savez`` via a same-directory temp file + ``os.replace``.
 
     Model files are republished *in place* by the registry's refresh
-    path while other processes (pool workers, sibling daemons) may be
+    path while other processes (sibling daemons, fit jobs) may be
     loading them; a write-in-place ``np.savez`` would expose truncated
     zips to those readers.  The rename is atomic on POSIX, so readers
     see either the old or the new artefact, never a torn one.  The temp
@@ -289,16 +292,11 @@ class HabitConfig:
     - ``resample_m``: output point spacing; simplified paths are resampled
       back to AIS-like density so point-to-point metrics stay comparable.
     - ``search``: query search variant -- ``"ch"`` (default; contraction
-      hierarchy precomputed at :meth:`HabitImputer.finalize`, an order
-      of magnitude fewer expansions than ALT on lane-shaped cell
-      graphs), ``"alt"`` (landmark heuristic; cheaper preprocessing),
-      ``"bidirectional"`` (meet-in-the-middle; no preprocessing, wins
-      when fits are too frequent to amortise any preprocessing),
-      ``"astar"``, or ``"dijkstra"``.  All return equal-cost paths; they
-      differ only in nodes expanded per query.
-    - ``num_landmarks``: ALT landmark count, selected at
-      :meth:`HabitImputer.finalize` when ``search="alt"`` (or on the
-      first ALT query) and persisted in format-v4+ model files.
+      hierarchy precomputed at :meth:`HabitImputer.finalize`, the fewest
+      expansions per query), ``"astar"`` (the paper's grid-heuristic
+      search; no preprocessing) or ``"dijkstra"`` (the cost oracle).
+      All return equal-cost paths; they differ only in nodes expanded
+      per query.
     """
 
     resolution: int = 9
@@ -310,7 +308,6 @@ class HabitConfig:
     snap_limit_cells: int = 200
     resample_m: float = 250.0
     search: str = "ch"
-    num_landmarks: int = 8
 
 
 class HabitImputer:
@@ -379,12 +376,9 @@ class HabitImputer:
                 projection=self.config.projection,
                 edge_weight=self.config.edge_weight,
             )
-            if self.config.search == "alt":
-                # Pay landmark preprocessing once at fit time; the tables
-                # ride in the (v4+) model payload so loads skip this.
-                self.graph.ensure_landmarks(self.config.num_landmarks)
-            elif self.config.search == "ch":
-                # Same deal for the contraction hierarchy (v5 payload).
+            if self.config.search == "ch":
+                # Pay hierarchy preprocessing once at fit time; the arrays
+                # ride in the model payload so loads skip this.
                 self.graph.ensure_ch()
             self._finalized_state = self._state
         return self
@@ -476,9 +470,7 @@ class HabitImputer:
         """
         self._require_fitted()
         method = method or self.config.search
-        if method == "alt":
-            self.graph.ensure_landmarks(self.config.num_landmarks)
-        elif method == "ch":
+        if method == "ch":
             self.graph.ensure_ch()
         return self.graph.find_path(src_node, dst_node, method)
 
@@ -497,9 +489,7 @@ class HabitImputer:
         """
         self._require_fitted()
         method = method or self.config.search
-        if method == "alt":
-            self.graph.ensure_landmarks(self.config.num_landmarks)
-        elif method == "ch":
+        if method == "ch":
             self.graph.ensure_ch()
         return self.graph.find_paths_batch(pairs, method)
 
@@ -587,14 +577,12 @@ class HabitImputer:
         """Restore a model saved with :meth:`save`.
 
         Raises :class:`ModelFormatError` when *path* is not a readable
-        habit model (wrong kind, out-of-range version, missing arrays,
-        or not an ``.npz`` archive at all).  Format-v3 files load with
-        default search settings and no precomputed tables; v4 files
-        restore ALT landmarks; v5 files additionally restore the
-        contraction hierarchy.  Whatever a pre-v5 payload lacks is
-        rebuilt on demand at the first query that needs it.  Models
-        saved with their fit state come back refreshable; state-less
-        artefacts load fine but reject :meth:`update`.
+        habit model (wrong kind, any version but the current one,
+        missing arrays, or not an ``.npz`` archive at all).  A persisted
+        contraction hierarchy is restored; a file without one rebuilds
+        it on demand at the first ``"ch"`` query.  Models saved with
+        their fit state come back refreshable; state-less artefacts load
+        fine but reject :meth:`update`.
         """
         path = Path(path)
         with _open_npz(path) as data:

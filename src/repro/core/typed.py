@@ -17,9 +17,8 @@ promoted to its own graph once enough of its traffic has streamed in --
 and :meth:`TypedHabitImputer.update` refreshes all graphs from new trips
 without ever re-reading history.  The per-class states ride inside the
 typed ``.npz`` container, so a loaded typed model keeps refreshing --
-and so does every class graph's precomputed search state (ALT landmark
-tables and, since format v5, the contraction hierarchy), so a loaded
-typed model answers its first ``"ch"`` query without paying per-class
+and so does every class graph's contraction hierarchy, so a loaded typed
+model answers its first ``"ch"`` query without paying per-class
 preprocessing.
 """
 
@@ -51,7 +50,7 @@ __all__ = ["TypedHabitImputer"]
 TYPED_MODEL_FORMAT = "typed-habit-npz"
 
 #: Prefixes under which the mergeable per-class fit states live in the
-#: (v4) container.  ``state_groups`` lists every class carrying a state
+#: container.  ``state_groups`` lists every class carrying a state
 #: (a superset of ``groups``: thin classes accumulate state before they
 #: earn a graph); class *i* of that list stores under ``state_c{i}_``,
 #: the fallback under ``state_fallback_``.  All state fields are
@@ -158,7 +157,7 @@ class TypedHabitImputer:
         if no single chunk did.  Classes whose state is untouched since
         their last finalize keep their existing graph -- a refresh whose
         chunk only carried cargo traffic does not pay N-1 other classes'
-        graph (and ALT landmark) rebuilds -- and keep their ``revision``
+        graph (and hierarchy) rebuilds -- and keep their ``revision``
         too, so their serve-path cache entries stay warm; only rebuilt
         imputers take the typed model's new revision.  Returns self.
         """

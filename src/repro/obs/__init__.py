@@ -16,11 +16,10 @@ picklable dicts, :func:`merge_snapshots` folds two snapshots into one
 addition is associative and commutative, so merge order never changes a
 count) -- and :meth:`MetricsRegistry.absorb` folds a snapshot (or a
 :func:`diff_snapshots` delta) back into a live registry.  That is what
-lets process-pool workers piggyback their metric deltas on batch
-results: each worker diffs its registry against the last shipped
-snapshot, the parent absorbs the delta, and worker-side search and
-path-cache activity becomes visible in the parent's ``/metrics`` scrape
-instead of vanishing into the pool.
+lets worker processes piggyback their metric deltas on their results:
+each worker diffs its registry against the last shipped snapshot, the
+parent absorbs the delta, and worker-side activity becomes visible in
+the parent's scrape instead of vanishing with the worker.
 
 Gauges are process-local by design: a gauge is a statement about *this*
 process ("models loaded here"), so :func:`diff_snapshots` drops them

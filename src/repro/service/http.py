@@ -4,8 +4,7 @@ Four routes:
 
 - ``GET /healthz`` -- liveness plus registry cache counters (hits /
   loads / fits / evictions / refreshes), the engine's snap-and-path
-  cache block (``path_cache``: hits / misses / entries / capacity --
-  worker-side counts included in process mode via the metrics merge)
+  cache block (``path_cache``: hits / misses / entries / capacity)
   and, when a follow daemon is attached, its ``follow`` status block
   (rows read, trips closed, refreshes, current revision, last error).
 - ``GET /models``  -- the model/revision feed: every model in the
@@ -17,9 +16,8 @@ Four routes:
   registry in Prometheus text exposition format (0.0.4); append
   ``?format=json`` for the same data as JSON.  Covers every layer:
   search variants, fit stages, registry tiers, path-cache tiers, follow
-  cycles, HTTP routes -- including process-pool worker activity, which
-  the engine merges back from batch metric deltas.  404 when the server
-  was built with ``metrics=False``.
+  cycles, HTTP routes.  404 when the server was built with
+  ``metrics=False``.
 - ``POST /impute`` -- a batch of gap requests (see
   :mod:`repro.service.schema`); the response carries per-request
   provenance and a GeoJSON FeatureCollection of the imputed paths.
@@ -27,8 +25,10 @@ Four routes:
   budget compression (:mod:`repro.geo.budget`); the provenance then
   reports ``points_in``/``points_out``/``max_sed_m``.
 
-Schema violations map to 400, unresolvable models to 404, everything
-else to 500 with the error message in the body.  The server is a
+Schema violations map to 400, unresolvable models to 404, a model file
+this build cannot read to 500 with a refit hint (naming the model id,
+never the registry path), everything else to 500 with the error message
+in the body.  The server is a
 :class:`ThreadingHTTPServer`, so requests run concurrently -- one
 handler thread per connection; all shared state lives in the (locked)
 registry, the read-only models, the follow daemon's own locked status
@@ -53,7 +53,9 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
+from repro.core import ModelFormatError
 from repro.io import encode_feature_collection, feature_collection
 from repro.obs import METRICS
 from repro.service.engine import BatchImputationEngine
@@ -88,8 +90,6 @@ def make_server(
     registry,
     host="127.0.0.1",
     port=8080,
-    max_workers=None,
-    executor="thread",
     follow=None,
     metrics=True,
     log_json=False,
@@ -99,11 +99,9 @@ def make_server(
 ):
     """A ready-to-run HTTP server over *registry*.
 
-    *executor* picks the batch engine's fan-out (``"thread"`` or
-    ``"process"``, see :class:`repro.service.BatchImputationEngine`);
     *batch_window_ms* / *batch_max_lanes* configure the engine's
-    cross-request micro-batching dispatcher (thread mode; ``0``
-    disables it -- see :class:`repro.service.dispatch.BatchDispatcher`);
+    cross-request micro-batching dispatcher (``0`` disables it -- see
+    :class:`repro.service.dispatch.BatchDispatcher`);
     *follow* optionally attaches a started
     :class:`repro.service.FollowDaemon`, surfaced under ``/healthz``.
     *metrics* controls the ``GET /metrics`` route and this transport's
@@ -115,15 +113,13 @@ def make_server(
     caller's to close.  Pass ``port=0`` to bind an ephemeral port
     (tests); the chosen port is ``server.server_address[1]``.  The
     caller owns the serve loop (and the engine shutdown --
-    ``server.engine.close()`` releases a process pool)::
+    ``server.engine.close()`` releases the dispatcher)::
 
         server = make_server(registry, port=8080)
         server.serve_forever()
     """
     engine = BatchImputationEngine(
         registry,
-        max_workers=max_workers,
-        executor=executor,
         batch_window_ms=batch_window_ms,
         batch_max_lanes=batch_max_lanes,
     )
@@ -145,7 +141,7 @@ def make_server(
             Handler.access_log = sys.stderr
         Handler.access_log_lock = threading.Lock()
     server = ThreadingHTTPServer((host, port), Handler)
-    server.engine = engine  # so callers can close() a process pool
+    server.engine = engine  # so callers can close() the dispatcher
     server.access_log_file = access_log_file
     return server
 
@@ -227,7 +223,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 "status": "ok",
                 "uptime_s": time.monotonic() - self.started_monotonic,
                 "models_loaded": len(self.registry.loaded_ids),
-                "executor": self.engine.executor,
+                "executor": "thread",  # the only executor; key kept for clients
                 "cache": {
                     "hits": stats.hits,
                     "loads": stats.loads,
@@ -293,6 +289,23 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return
         except ModelNotFound as exc:
             self._send_json(404, {"error": exc.args[0]})
+            return
+        except ModelFormatError as exc:
+            # A registry without a fitter holds a file this build cannot
+            # read (corrupt, or an older format).  Name the model and the
+            # fix; the registry path is the server's business.
+            model_id = Path(exc.path).stem
+            self._send_json(
+                500,
+                {
+                    "error": (
+                        f"model {model_id} cannot be read: {exc.reason}; refit it "
+                        "(python -m repro.service --fit DATASET with the same "
+                        "config) or serve with --fit-on-miss"
+                    ),
+                    "model_id": model_id,
+                },
+            )
             return
         except Exception as exc:  # pragma: no cover - defensive
             self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})

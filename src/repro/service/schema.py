@@ -8,7 +8,9 @@ The wire format is plain JSON.  An ``/impute`` payload is either a batch::
 
 or the single-gap shorthand (``dataset``/``start``/``end`` at top level).
 ``config`` holds optional :class:`repro.core.HabitConfig` field overrides;
-unknown fields are rejected rather than silently ignored.  Parsing raises
+unknown fields, and unknown values of the enumerated fields (``search``,
+``projection``, ``edge_weight``), are rejected rather than silently
+ignored or left to fail after a model was resolved.  Parsing raises
 :class:`SchemaError` (mapped to HTTP 400 by the transport) with a message
 naming the offending field.
 """
@@ -18,7 +20,7 @@ from math import isfinite
 
 import numpy as np
 
-from repro.core import HabitConfig
+from repro.core import EDGE_WEIGHTS, PROJECTIONS, SEARCH_METHODS, HabitConfig
 from repro.io import encode_coordinates, encode_linestring_feature, linestring_feature
 
 __all__ = [
@@ -79,16 +81,15 @@ class Provenance:
     the number of
     nodes the search that produced the route settled (0 for straight
     lines; preserved on cache hits even though the heap wasn't touched),
-    so search quality is observable per served response -- with the
-    default contraction-hierarchy search (``HabitConfig.search="ch"``)
-    expect an order of magnitude fewer than the ALT landmark search
-    reported.  ``revision``
+    so search quality is observable per served response -- the default
+    contraction-hierarchy search (``HabitConfig.search="ch"``) settles
+    the fewest.  ``revision``
     is the model's incremental-refresh counter (1 until the first
     :meth:`repro.service.ModelRegistry.refresh`), so clients can tell
-    which vintage of the model answered.  ``executor`` records which
-    batch executor ran the request -- ``"thread"`` (in-process pool, the
-    default) or ``"process"`` (fanned to a worker process; see
-    :class:`repro.service.BatchImputationEngine`).  ``path_length_m`` is
+    which vintage of the model answered.  ``executor`` is always
+    ``"thread"``: every request runs in-process on its handler thread
+    (see :class:`repro.service.BatchImputationEngine`); the field stays so
+    the wire format does not change.  ``path_length_m`` is
     the metric length of the returned polyline -- the path-cost measure
     exposed to clients.  When a request's ``max_points`` budget actually
     compressed the response, ``points_in``/``points_out`` record the
@@ -173,12 +174,21 @@ class ImputeResult:
 #: HabitConfig field name -> default value, used to coerce JSON overrides.
 _CONFIG_DEFAULTS = {f.name: f.default for f in fields(HabitConfig)}
 
+#: HabitConfig fields with a closed set of values.
+_CONFIG_CHOICES = {
+    "search": SEARCH_METHODS,
+    "projection": PROJECTIONS,
+    "edge_weight": EDGE_WEIGHTS,
+}
+
 
 def build_config(overrides):
     """A :class:`HabitConfig` from a JSON override dict.
 
     Values are coerced to the type of the field's default; unknown field
-    names raise :class:`SchemaError`.
+    names and unknown values of enumerated fields raise
+    :class:`SchemaError`, so a bad config never reaches the registry
+    (which would otherwise fit and publish a model under it).
     """
     if overrides is None:
         return HabitConfig()
@@ -204,6 +214,12 @@ def build_config(overrides):
                 coerced = str(value)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"config field {name!r}: cannot coerce {value!r}") from exc
+        choices = _CONFIG_CHOICES.get(name)
+        if choices is not None and coerced not in choices:
+            raise SchemaError(
+                f"config field {name!r}: unknown value {coerced!r}; "
+                f"expected one of {', '.join(choices)}"
+            )
         kwargs[name] = coerced
     return HabitConfig(**kwargs)
 

@@ -29,7 +29,7 @@ from repro.hexgrid import (
     latlng_to_cell_array,
 )
 
-__all__ = ["TOPOLOGIES", "random_graph"]
+__all__ = ["TOPOLOGIES", "edge_costs", "random_graph"]
 
 #: Base latitude/longitude of the synthetic patch (Kiel-ish waters).
 _LAT0, _LNG0 = 55.0, 10.0
@@ -153,3 +153,13 @@ TOPOLOGIES = {
 def random_graph(rng, topology="uniform", **kwargs):
     """Draw one graph of the named topology (see ``TOPOLOGIES``)."""
     return TOPOLOGIES[topology](rng, **kwargs)
+
+
+def edge_costs(graph, a, b):
+    """Costs of every ``a -> b`` edge (cell ids), read off the CSR arrays;
+    empty when the graph has no such edge."""
+    u, v = graph.node_index(a), graph.node_index(b)
+    if u < 0 or v < 0:
+        return []
+    lo, hi = graph.indptr[u], graph.indptr[u + 1]
+    return graph.costs[lo:hi][graph.indices[lo:hi] == v].tolist()

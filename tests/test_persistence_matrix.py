@@ -1,14 +1,15 @@
-"""Model-format compatibility matrix: v3, v4 and v5 files all load.
+"""Model-format matrix: v5 files load, every other version is refused.
 
-Format v5 added the contraction-hierarchy arrays; v4 added the ALT
-landmark tables; v3 is the floor (``MIN_MODEL_FORMAT_VERSION``).  The
-matrix pinned here:
+Format v5 is the only readable version; its contraction-hierarchy arrays
+are optional.  The matrix pinned here:
 
-- files saved at every supported version load into a working imputer;
-- pre-v5 files (no CH payload) rebuild the hierarchy on first demand;
+- v5 files load into a working imputer;
+- v5 files without a CH payload (models fitted with ``search="astar"``
+  or ``"dijkstra"``) rebuild the hierarchy on first demand;
 - plain and typed round-trips preserve every CH array **bit-exactly**
   (the CH build is deterministic, so save -> load -> rebuild agrees);
-- new saves are stamped ``format_version == 5``.
+- new saves are stamped ``format_version == 5``;
+- any other version, older or newer, is rejected.
 """
 
 import numpy as np
@@ -26,44 +27,36 @@ def ch_model(tiny_kiel):
     return model
 
 
-def _downgrade(saved_path, out_path, version):
-    """Rewrite a saved v5 model file as an earlier-version equivalent."""
+def _strip_ch(saved_path, out_path):
+    """Rewrite a saved v5 model file without its hierarchy arrays -- the
+    layout of a model fitted with a search that never built one."""
     with np.load(saved_path) as data:
-        payload = {key: data[key] for key in data.files}
-    payload["format"] = np.array([habit_mod.MODEL_FORMAT, str(version)])
-    strip = habit_mod._CH_KEYS  # v4: everything but the hierarchy
-    if version == 3:
-        strip = strip + habit_mod._LANDMARK_KEYS
-        payload["config"] = payload["config"][:8]  # v3 configs had 8 fields
-    for key in strip:
-        payload.pop(key, None)
+        payload = {key: data[key] for key in data.files if key not in habit_mod._CH_KEYS}
     np.savez(out_path, **payload)
     return out_path
 
 
-@pytest.mark.parametrize("version", [3, 4, 5])
+@pytest.mark.parametrize("version", [habit_mod.MODEL_FORMAT_VERSION])
 def test_every_supported_version_loads_and_serves(ch_model, tiny_kiel, tmp_path, version):
     saved = ch_model.save(tmp_path / "v5.npz")
-    path = (
-        saved
-        if version == 5
-        else _downgrade(saved, tmp_path / f"v{version}.npz", version)
-    )
-    restored = HabitImputer.load(path)
-    assert restored.graph.num_nodes == ch_model.graph.num_nodes
-    # v5 carries the hierarchy; older files must come back without one.
-    assert restored.graph.has_ch == (version == 5)
-    gap = tiny_kiel.gaps(3600.0)[0]
-    result = restored.impute(gap.start, gap.end)
-    assert result.num_points >= 2 and result.method == "ch"
-    assert restored.graph.has_ch  # pre-v5 loads rebuilt it on demand
+    with np.load(saved) as data:
+        assert str(data["format"][1]) == str(version)
+    for path, has_ch in ((saved, True), (_strip_ch(saved, tmp_path / "no_ch.npz"), False)):
+        restored = HabitImputer.load(path)
+        assert restored.graph.num_nodes == ch_model.graph.num_nodes
+        assert restored.graph.has_ch == has_ch
+        gap = tiny_kiel.gaps(3600.0)[0]
+        result = restored.impute(gap.start, gap.end)
+        assert result.num_points >= 2 and result.method == "ch"
+        assert restored.graph.has_ch  # a CH-less file rebuilt it on demand
 
 
 def test_prev5_rebuild_matches_persisted_hierarchy(ch_model, tmp_path):
-    """The on-demand rebuild after a v4 load equals the persisted arrays."""
+    """The on-demand rebuild after loading a v5 file without CH arrays
+    equals the persisted arrays."""
     saved = ch_model.save(tmp_path / "v5.npz")
-    v4 = _downgrade(saved, tmp_path / "v4.npz", 4)
-    restored = HabitImputer.load(v4)
+    restored = HabitImputer.load(_strip_ch(saved, tmp_path / "no_ch.npz"))
+    assert not restored.graph.has_ch
     restored.graph.ensure_ch()
     for key in habit_mod._CH_KEYS:
         assert np.array_equal(getattr(restored.graph, key), getattr(ch_model.graph, key)), key
@@ -109,7 +102,7 @@ def test_versions_outside_the_window_are_rejected(ch_model, tmp_path):
     saved = ch_model.save(tmp_path / "v5.npz")
     with np.load(saved) as data:
         payload = {key: data[key] for key in data.files}
-    for bad in ("2", "6"):
+    for bad in ("2", "3", "4", "6"):
         payload["format"] = np.array([habit_mod.MODEL_FORMAT, bad])
         bad_path = tmp_path / f"bad{bad}.npz"
         np.savez(bad_path, **payload)

@@ -1,10 +1,17 @@
-"""CSR search engine: variant equivalence, landmarks, v3-v5 models, snaps."""
+"""CSR search engine: variant equivalence, model config round-trips, snaps."""
 
 import numpy as np
 import pytest
 
+from graphgen import edge_costs
 from graphgen import uniform_graph as _random_graph
-from repro.core import SEARCH_METHODS, CellGraph, HabitConfig, HabitImputer
+from repro.core import (
+    GOAL_DIRECTED_METHODS,
+    SEARCH_METHODS,
+    CellGraph,
+    HabitConfig,
+    HabitImputer,
+)
 from repro.hexgrid import (
     cell_axial_array,
     cell_to_latlng_array,
@@ -14,15 +21,15 @@ from repro.hexgrid import (
 
 
 def _path_cost(graph, result):
-    """Recompute a result's cost from the adjacency view (oracle check)."""
+    """Recompute a result's cost from the CSR arrays (oracle check)."""
     total = 0.0
     for a, b in zip(result.cells, result.cells[1:]):
-        total += min(c for t, c, _ in graph.adjacency[a] if t == b)
+        total += min(edge_costs(graph, a, b))
     return total
 
 
 def test_all_variants_equal_cost_on_random_graphs():
-    """astar / dijkstra / bidirectional / ALT / CH agree on any admissible graph."""
+    """astar / dijkstra / CH agree on any admissible graph."""
     rng = np.random.default_rng(1234)
     for _ in range(8):
         graph = _random_graph(rng)
@@ -79,10 +86,11 @@ def test_trivial_and_missing_endpoints():
     cell = int(graph.cells[0])
     same = graph.find_path(cell, cell, "astar")
     assert same.cells == (cell,) and same.cost == 0.0 and same.expanded == 0
-    # A cell that is no node: searches return None, astar() wrapper too.
+    # A cell that is no node: searches return None from either end.
     missing = int(graph.cells.max()) + 12345
-    assert graph.find_path(cell, missing, "bidirectional") is None
-    assert graph.astar(missing, cell) is None
+    for method in SEARCH_METHODS:
+        assert graph.find_path(cell, missing, method) is None, method
+        assert graph.find_path(missing, cell, method) is None, method
 
 
 def test_heuristics_expand_no_more_than_dijkstra(tiny_kiel):
@@ -97,7 +105,7 @@ def test_heuristics_expand_no_more_than_dijkstra(tiny_kiel):
         dijkstra = graph.find_path(snapped[0], snapped[1], "dijkstra")
         if dijkstra is None:
             continue
-        for method in ("astar", "alt"):
+        for method in GOAL_DIRECTED_METHODS:
             guided = graph.find_path(snapped[0], snapped[1], method)
             assert guided.cost == pytest.approx(dijkstra.cost)
             assert guided.expanded <= dijkstra.expanded
@@ -105,12 +113,14 @@ def test_heuristics_expand_no_more_than_dijkstra(tiny_kiel):
     assert checked > 0
 
 
-def test_compat_views_match_csr(tiny_kiel):
+def test_csr_arrays_match_flat_arrays(tiny_kiel):
     imputer = HabitImputer(HabitConfig(resolution=9)).fit_from_trips(tiny_kiel.train)
     graph = imputer.graph
-    assert set(graph.node_attrs) == set(int(c) for c in graph.cells)
-    total_edges = sum(len(v) for v in graph.adjacency.values())
-    assert total_edges == graph.num_edges == len(graph.indices)
+    assert len(graph.indptr) == graph.num_nodes + 1
+    assert graph.indptr[-1] == graph.num_edges == len(graph.indices) == len(graph.costs)
+    # Every flat edge sits in its source's CSR row, at its own cost.
+    for src, dst, cost in zip(graph.edge_src, graph.edge_dst, graph.edge_cost):
+        assert cost in edge_costs(graph, src, dst)
     # CSR axial coordinates match the packed ids.
     q, r = cell_axial_array(graph.cells)
     assert np.array_equal(graph.node_q, q.astype(np.int32))
@@ -132,79 +142,45 @@ def test_snap_memoization_and_scalar_fallback(tiny_kiel):
     assert first == brute
 
 
-# -- landmarks & model format v3-v5 ---------------------------------------
+# -- model config round-trips -----------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def alt_model(tiny_kiel):
-    return HabitImputer(
-        HabitConfig(resolution=9, search="alt", num_landmarks=6)
-    ).fit_from_trips(tiny_kiel.train)
+def astar_model(tiny_kiel):
+    return HabitImputer(HabitConfig(resolution=9, search="astar")).fit_from_trips(
+        tiny_kiel.train
+    )
 
 
-def test_finalize_computes_landmarks_for_alt(alt_model):
-    graph = alt_model.graph
-    assert graph.has_landmarks
-    assert 1 <= len(graph.landmarks) <= 6
-    assert graph.landmark_from.shape == (len(graph.landmarks), graph.num_nodes)
-    assert graph.landmark_to.shape == graph.landmark_from.shape
-    # Landmarks sit at distance 0 from themselves.
-    for row, node in enumerate(graph.landmarks):
-        assert graph.landmark_from[row, node] == 0.0
-        assert graph.landmark_to[row, node] == 0.0
-
-
-def test_v4_round_trip_preserves_landmarks(alt_model, tiny_kiel, tmp_path):
+def test_v5_files_with_landmark_arrays_still_load(astar_model, tiny_kiel, tmp_path):
+    """Files saved by releases that still had the ALT search may carry
+    landmark tables; they load and serve exactly as without them."""
     gap = tiny_kiel.gaps(3600.0)[0]
-    path = alt_model.save(tmp_path / "alt.npz")
-    restored = HabitImputer.load(path)
-    assert restored.config == alt_model.config
-    assert restored.graph.has_landmarks
-    assert np.array_equal(restored.graph.landmarks, alt_model.graph.landmarks)
-    assert np.array_equal(restored.graph.landmark_from, alt_model.graph.landmark_from)
-    assert np.array_equal(restored.graph.landmark_to, alt_model.graph.landmark_to)
-    a = alt_model.impute(gap.start, gap.end)
+    saved = astar_model.save(tmp_path / "m.npz")
+    with np.load(saved) as data:
+        payload = {key: data[key] for key in data.files}
+    n = astar_model.graph.num_nodes
+    payload["landmarks"] = np.array([0, 1], dtype=np.int32)
+    payload["landmark_from"] = np.zeros((2, n))
+    payload["landmark_to"] = np.zeros((2, n))
+    legacy = tmp_path / "legacy.npz"
+    np.savez(legacy, **payload)
+    restored = HabitImputer.load(legacy)
+    assert restored.config == astar_model.config
+    a = astar_model.impute(gap.start, gap.end)
     b = restored.impute(gap.start, gap.end)
     assert np.array_equal(a.lats, b.lats) and np.array_equal(a.lngs, b.lngs)
-    assert a.method == b.method == "alt"
+    assert a.method == b.method == "astar"
 
 
-def _as_v3_file(saved_path, out_path):
-    """Rewrite a saved (v5) model as its v3 equivalent."""
+def test_saved_format_version_is_5(astar_model, tmp_path):
     import repro.core.habit as habit_mod
 
-    with np.load(saved_path) as data:
-        payload = {key: data[key] for key in data.files}
-    payload["format"] = np.array([habit_mod.MODEL_FORMAT, "3"])
-    payload["config"] = payload["config"][:8]  # v3 configs had 8 fields
-    for key in habit_mod._LANDMARK_KEYS + habit_mod._CH_KEYS:
-        payload.pop(key, None)
-    np.savez(out_path, **payload)
-    return out_path
-
-
-def test_v3_files_still_load_and_rebuild_landmarks(alt_model, tiny_kiel, tmp_path):
-    gap = tiny_kiel.gaps(3600.0)[0]
-    v3 = _as_v3_file(alt_model.save(tmp_path / "v5.npz"), tmp_path / "v3.npz")
-    restored = HabitImputer.load(v3)
-    # v3 configs fall back to current defaults for the new fields.
-    assert restored.config.search == HabitConfig().search
-    assert not restored.graph.has_landmarks  # dropped with the v3 payload
-    result = restored.impute(gap.start, gap.end, method="alt")
-    assert restored.graph.has_landmarks  # rebuilt on demand
-    assert result.num_points >= 2 and result.method == "alt"
-    # State survived, so incremental refresh still works after a v3 load.
-    restored.update(tiny_kiel.test)
-    assert restored.revision == 2
-
-
-def test_saved_format_version_is_5(alt_model, tmp_path):
-    import repro.core.habit as habit_mod
-
-    path = alt_model.save(tmp_path / "m.npz")
+    path = astar_model.save(tmp_path / "m.npz")
     with np.load(path) as data:
         tag = data["format"]
         assert str(tag[0]) == habit_mod.MODEL_FORMAT and str(tag[1]) == "5"
+        # Nine live fields plus the retired slot older releases still read.
         assert len(data["config"]) == 10
 
 
@@ -216,21 +192,18 @@ def test_search_config_round_trips_through_service_schema():
             "dataset": "KIEL",
             "start": [54.0, 10.0],
             "end": [55.0, 11.0],
-            "config": {"search": "bidirectional", "num_landmarks": 4},
+            "config": {"search": "astar"},
         }
     )
-    assert config.search == "bidirectional" and config.num_landmarks == 4
+    assert config.search == "astar"
 
 
-def test_impute_method_override_and_config_search(tiny_kiel):
+def test_impute_method_override_and_config_search(astar_model, tiny_kiel):
     gap = tiny_kiel.gaps(3600.0)[0]
-    imputer = HabitImputer(
-        HabitConfig(resolution=9, search="bidirectional")
-    ).fit_from_trips(tiny_kiel.train)
-    default = imputer.impute(gap.start, gap.end)
-    assert default.method == "bidirectional"
+    default = astar_model.impute(gap.start, gap.end)
+    assert default.method == "astar"
     assert default.expanded > 0
-    legacy = imputer.impute(gap.start, gap.end, use_heuristic=False)
+    legacy = astar_model.impute(gap.start, gap.end, use_heuristic=False)
     assert legacy.method == "dijkstra"
-    override = imputer.impute(gap.start, gap.end, method="astar")
-    assert override.method == "astar"
+    override = astar_model.impute(gap.start, gap.end, method="ch")
+    assert override.method == "ch"

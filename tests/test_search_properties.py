@@ -3,7 +3,7 @@
 The contract under test: all members of ``SEARCH_METHODS`` are *provably
 equal-cost* -- on any graph whose edge costs respect the grid-span
 invariant, every variant must return a path of exactly Dijkstra's cost
-(to float tolerance), a path that is valid under the adjacency view, and
+(to float tolerance), a path that uses only real CSR edges, and
 the same unreachable verdict.  This suite hammers that contract with
 hundreds of seeded random graphs across adversarial topologies (see
 ``graphgen.TOPOLOGIES``) so a regression in any variant -- most likely
@@ -17,7 +17,7 @@ any counterexample replays with a two-line snippet.
 import numpy as np
 import pytest
 
-from graphgen import TOPOLOGIES, random_graph
+from graphgen import TOPOLOGIES, edge_costs, random_graph
 from repro.core import GOAL_DIRECTED_METHODS, SEARCH_METHODS
 
 #: (topology, number of graph draws) -- 220 graphs in total.
@@ -33,10 +33,10 @@ _BASE_SEED = 977
 
 
 def _path_cost(graph, result):
-    """Recompute a result's cost from the adjacency view (oracle check)."""
+    """Recompute a result's cost from the CSR arrays (oracle check)."""
     total = 0.0
     for a, b in zip(result.cells, result.cells[1:]):
-        hops = [c for t, c, _ in graph.adjacency[a] if t == b]
+        hops = edge_costs(graph, a, b)
         assert hops, f"path uses non-edge {a}->{b}"
         total += min(hops)
     return total
@@ -66,8 +66,8 @@ def _check_batch(graph, pairs, context):
     """The batch kernel agrees with the scalar oracles on *pairs*.
 
     Bit-equal costs vs scalar CH (same hierarchy, same relaxation
-    order), Dijkstra-equal to float tolerance, valid adjacency-oracle
-    paths, and identical unreachable verdicts.
+    order), Dijkstra-equal to float tolerance, valid CSR-oracle paths,
+    and identical unreachable verdicts.
     """
     batch = graph.find_paths_batch(pairs)
     assert len(batch) == len(pairs), context
@@ -183,8 +183,7 @@ def test_degenerate_pairs_short_circuit_before_any_search_work(monkeypatch):
     def poisoned(*args, **kwargs):
         raise AssertionError("degenerate pair reached search machinery")
 
-    for name in ("_astar_indices", "_bidirectional", "_ch_query", "ensure_ch",
-                 "ensure_landmarks", "_ch_kernel_tables"):
+    for name in ("_astar_indices", "_ch_query", "ensure_ch", "_ch_kernel_tables"):
         monkeypatch.setattr(graph_mod.CellGraph, name, poisoned)
     monkeypatch.setattr(graph_mod, "solve_batch", poisoned)
     for method in SEARCH_METHODS:

@@ -60,7 +60,8 @@ def test_model_id_is_stable_and_config_sensitive():
 
 
 def _uncached_config_hash(config):
-    payload = json.dumps(asdict(config), sort_keys=True)
+    # num_landmarks is a retired field; its slot keeps model ids stable.
+    payload = json.dumps({**asdict(config), "num_landmarks": 8}, sort_keys=True)
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:12]
 
 
@@ -74,8 +75,7 @@ _CONFIG_OVERRIDES = {
     "snap_max_ring": 3,
     "snap_limit_cells": 50,
     "resample_m": 100.0,
-    "search": "alt",
-    "num_landmarks": 4,
+    "search": "astar",
 }
 
 
@@ -232,7 +232,7 @@ def test_registry_list_models(registry, service_model):
 def test_engine_batch_order_and_provenance(registry, service_model, tiny_kiel):
     gaps = tiny_kiel.gaps(3600.0)
     requests = _gap_requests("KIEL", gaps, n=6)
-    results = BatchImputationEngine(registry, max_workers=3).run(
+    results = BatchImputationEngine(registry).run(
         requests, service_model.config
     )
     assert [r.request.request_id for r in results] == [r.request_id for r in requests]
@@ -262,53 +262,16 @@ def test_engine_unknown_dataset_raises(registry, service_model):
         BatchImputationEngine(registry).run([request], service_model.config)
 
 
-def test_engine_process_pool_matches_thread_pool(registry, service_model, tiny_kiel):
-    gaps = tiny_kiel.gaps(3600.0)
-    requests = _gap_requests("KIEL", gaps, n=6)
-    thread_results = BatchImputationEngine(registry).run(requests, service_model.config)
-    with BatchImputationEngine(
-        registry, max_workers=2, executor="process"
-    ) as engine:
-        process_results = engine.run(requests, service_model.config)
-        # The pool is persistent: a second batch reuses warm workers.
-        again = engine.run(requests[:2], service_model.config)
-    assert len(process_results) == len(thread_results)
-    for t, p in zip(thread_results, process_results):
-        assert p.request.request_id == t.request.request_id
-        assert np.array_equal(p.lats, t.lats) and np.array_equal(p.lngs, t.lngs)
-        assert p.provenance.model_id == t.provenance.model_id
-        assert p.provenance.method == t.provenance.method
-        assert t.provenance.executor == "thread"
-        assert p.provenance.executor == "process"
-    assert all(r.provenance.executor == "process" for r in again)
-
-
-def test_process_workers_see_refreshed_revision(registry, service_model, tiny_kiel):
-    """A refresh in the parent must reach warm workers: the parent's
-    resolved revision rides with each batch and evicts stale worker
-    caches, so process mode never serves an older revision than /models
-    advertises."""
-    gap = tiny_kiel.gaps(3600.0)[0]
-    request = [GapRequest("KIEL", gap.start, gap.end, "r0")]
-    with BatchImputationEngine(registry, max_workers=1, executor="process") as engine:
-        (before,) = engine.run(request, service_model.config)
-        assert before.provenance.revision == 1
-        registry.refresh("KIEL", tiny_kiel.test, service_model.config)
-        (after,) = engine.run(request, service_model.config)
-        assert after.provenance.revision == 2
-        assert after.provenance.executor == "process"
-
-
 def test_peek_revision_rejects_unloadable_files(tmp_path, service_model):
-    """The process executor's cheap probe must not trust a file a real
-    load() would reject -- such files fall through to get() and its
-    fitter semantics instead of reaching fitter-less pool workers."""
+    """The cheap revision probe must not trust a file a real load()
+    would reject -- such files fall through to get() and its fitter
+    semantics instead of being reported as servable."""
     reg = ModelRegistry(tmp_path / "reg")
     config = service_model.config
     # Valid zip with a readable revision but no graph arrays.
     np.savez(
         reg.path_for("KIEL", config),
-        format=np.array(["habit-npz", "4"]),
+        format=np.array(["habit-npz", "5"]),
         revision=np.array([3]),
     )
     _, revision = reg.peek_revision("KIEL", config)
@@ -323,18 +286,6 @@ def test_peek_revision_rejects_unloadable_files(tmp_path, service_model):
     reg.evict_all()
     _, revision = reg.peek_revision("KIEL", config)
     assert revision == service_model.revision
-
-
-def test_engine_rejects_unknown_executor(registry):
-    with pytest.raises(ValueError, match="executor"):
-        BatchImputationEngine(registry, executor="fiber")
-
-
-def test_engine_process_pool_unknown_dataset_raises_in_parent(registry, service_model):
-    request = GapRequest("ATLANTIS", (54.0, 10.0), (55.0, 11.0), "x")
-    with BatchImputationEngine(registry, executor="process") as engine:
-        with pytest.raises(ModelNotFound):
-            engine.run([request], service_model.config)
 
 
 def test_result_feature_carries_provenance(registry, service_model, tiny_kiel):
@@ -623,7 +574,7 @@ def _get(base, path):
 
 @pytest.fixture()
 def server(registry):
-    server = make_server(registry, port=0, max_workers=4)
+    server = make_server(registry, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -681,6 +632,90 @@ def test_http_error_statuses(server):
     with pytest.raises(urllib.error.HTTPError) as err:
         _get(server, "/nope")
     assert err.value.code == 404
+
+
+def _serve(registry):
+    server = make_server(registry, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread, "http://%s:%d" % server.server_address[:2]
+
+
+def _stop(server, thread):
+    server.shutdown()
+    server.server_close()
+    server.engine.close()
+    thread.join(timeout=5)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("search", "bogus"),
+        ("search", "alt"),
+        ("search", "bidirectional"),
+        ("projection", "bogus"),
+        ("edge_weight", "bogus"),
+    ],
+)
+def test_http_unknown_config_value_is_400_before_any_fit(tmp_path, tiny_kiel, field, value):
+    fits = []
+
+    def fitter(dataset, config):
+        fits.append(config)
+        return HabitImputer(config).fit_from_trips(tiny_kiel.train)
+
+    root = tmp_path / "models"
+    server, thread, base = _serve(ModelRegistry(root, fitter=fitter))
+    payload = {
+        "dataset": "KIEL",
+        "start": [54.0, 10.0],
+        "end": [55.0, 11.0],
+        "config": {field: value},
+    }
+    try:
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(base, "/impute", payload)
+        assert err.value.code == 400
+        message = json.loads(err.value.read())["error"]
+        assert field in message and repr(value) in message
+    finally:
+        _stop(server, thread)
+    assert fits == []
+    assert list(root.iterdir()) == []
+
+
+def _stamp_version(saved, out, version):
+    with np.load(saved) as data:
+        payload = {key: data[key] for key in data.files}
+    payload["format"] = np.array(["habit-npz", version])
+    np.savez(out, **payload)
+
+
+@pytest.mark.parametrize("kind", ["garbage", "version 4"])
+def test_http_unreadable_model_file_names_model_and_remedy(tmp_path, service_model, kind):
+    registry = ModelRegistry(tmp_path / "models")  # no fitter: nothing heals it
+    path = registry.path_for("KIEL", service_model.config)
+    if kind == "garbage":
+        path.write_bytes(b"truncated, definitely not a zip")
+        reason = "not an .npz model archive"
+    else:
+        _stamp_version(service_model.save(tmp_path / "current.npz"), path, "4")
+        reason = "format version 4"
+    model_id = ModelRegistry.model_id("KIEL", service_model.config)
+    server, thread, base = _serve(registry)
+    try:
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(base, "/impute", {"dataset": "KIEL", "start": [54.0, 10.0], "end": [55.0, 11.0]})
+        assert err.value.code == 500
+        body = err.value.read().decode()
+    finally:
+        _stop(server, thread)
+    error = json.loads(body)
+    assert error["model_id"] == model_id
+    assert model_id in error["error"] and reason in error["error"]
+    assert "--fit" in error["error"] and "--fit-on-miss" in error["error"]
+    assert str(tmp_path) not in body
 
 
 def test_http_concurrent_imputes(server, tiny_kiel):
@@ -1065,7 +1100,7 @@ def test_http_impute_body_matches_dict_encoding(registry, service_model, tiny_ki
             tiny_kiel.train
         ),
     )
-    server = make_server(registry, port=0, max_workers=4)
+    server = make_server(registry, port=0)
     captured = []
     run = server.engine.run
 
